@@ -39,7 +39,9 @@ func writeChromeTrace(out io.Writer, workload string, c *chain, d *driverPass) e
 	for _, m := range c.marks {
 		for l := layer(0); l < numLayers; l++ {
 			if items := m.items[l] - prev.items[l]; items > 0 {
-				span(1, int(l)+1, l.String(), prev.atNS, m.ns[l]-prev.ns[l], items)
+				// A slice of a cheap layer can estimate below zero once the
+				// clock latency is subtracted; a span cannot be shorter than 0.
+				span(1, int(l)+1, l.String(), prev.atNS, max(m.ns[l]-prev.ns[l], 0), items)
 			}
 		}
 		prev = m
