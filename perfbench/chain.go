@@ -148,14 +148,19 @@ func (c *chain) stop(l layer, t0 int64) {
 }
 
 // calibrate measures the clock-read latency timed spans subtract.
-func (c *chain) calibrate() {
+func (c *chain) calibrate() { c.bias = clockBias(c.epoch) }
+
+// clockBias is what an empty span reads when both ends are
+// time.Since(epoch): the latency of one clock read, which every timed
+// span includes once.
+func clockBias(epoch time.Time) int64 {
 	const n = 1 << 14
-	var sum int64
+	var sum time.Duration
 	for i := 0; i < n; i++ {
-		t0 := c.now()
-		sum += c.now() - t0
+		t0 := time.Since(epoch)
+		sum += time.Since(epoch) - t0
 	}
-	c.bias = sum / n
+	return int64(sum / n)
 }
 
 // whole runs fn as an unconditionally timed span of layer l; dosdetect

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"quicsand"
+	"quicsand/internal/capture"
 	"quicsand/internal/detect"
 	"quicsand/internal/oracle"
 	"quicsand/internal/telemetry"
@@ -59,6 +60,20 @@ func checkAlerts(ae *oracle.AlertExpectation, alerts []detect.Alert) error {
 	return violations(oracle.CheckAlerts(ae, alerts))
 }
 
+// checkIngest requires a batch replay to have ingested the way the
+// CLI's replay does on these inputs: a QSND source, decoded on the
+// shards after the scatter. A source hidden behind a wrapper falls back
+// to the sequential inline decode, and the run would time a path
+// production does not take.
+func checkIngest(a *quicsand.Analysis) error {
+	ing := a.Telemetry.Ingest
+	if ing.Format != capture.FormatQSND.String() || ing.DecodePath != "shard" {
+		return fmt.Errorf("replay ingested format %q on decode path %q, want %q on %q",
+			ing.Format, ing.DecodePath, capture.FormatQSND, "shard")
+	}
+	return nil
+}
+
 // lost counts input records the analysis does not account for, plus
 // records the decoder dropped: the run's failure count.
 func lost(records uint64, a *quicsand.Analysis) uint64 {
@@ -96,6 +111,9 @@ func referenceReplay(w workload, cfg quicsand.Config, path string) (*batchRefere
 	r, err := runDriver(batch, cfg, path)
 	if err != nil {
 		return nil, err
+	}
+	if err := checkIngest(r.final); err != nil {
+		return nil, fmt.Errorf("batch reference: %w", err)
 	}
 	return &batchReference{counters: streamCounters(r.final), headline: r.final.Headline()}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"time"
 
@@ -34,6 +35,9 @@ type ledger struct {
 	driver   *driverPass
 	gateErrs []error
 	records  uint64
+	// residualPct is the signed chain residual behind
+	// chain.unattributed_pct: negative when the spans over-attribute.
+	residualPct float64
 }
 
 func (L *ledger) put(name string, v float64, unit string) { L.metrics[name] = metric{v, unit} }
@@ -101,7 +105,7 @@ func forEach(w workload, path string, fn func(*telescope.Packet)) (uint64, error
 	defer in.Close()
 	var n uint64
 	for {
-		p, err := in.Next()
+		p, err := in.src.Next()
 		if errors.Is(err, io.EOF) {
 			return n, nil
 		}
@@ -208,6 +212,7 @@ func (L *ledger) engine(w workload, cfg quicsand.Config, su *setupResult, exp *e
 	}
 	a := ref.final
 	L.fail(checkAnalysis(exp.analysis, a))
+	L.fail(checkIngest(a))
 	if n := lost(su.fp.Packets, a); n != 0 {
 		L.fail(fmt.Errorf("reference replay lost %d of %d records", n, su.fp.Packets))
 	}
@@ -251,7 +256,7 @@ func (L *ledger) dissectAllocs(w workload, su *setupResult, a *quicsand.Analysis
 // the Offer allocation count subtracts.
 func (L *ledger) chains(w workload, su *setupResult, a *quicsand.Analysis, window time.Duration) (uint64, error) {
 	dcfg := w.detectConfig()
-	var overhead, unattributed []float64
+	var overhead, unattributed, residual []float64
 	var self [numLayers][]float64
 	var chainAllocs uint64
 	start := time.Now()
@@ -265,7 +270,7 @@ func (L *ledger) chains(w workload, su *setupResult, a *quicsand.Analysis, windo
 			}
 			runtime.GC()
 			p0 := readProbe()
-			err = c.run(in)
+			err = c.run(in.src)
 			p1 := readProbe()
 			in.Close()
 			if err != nil {
@@ -287,7 +292,12 @@ func (L *ledger) chains(w workload, su *setupResult, a *quicsand.Analysis, windo
 			attributed += e
 			self[l] = append(self[l], float64(e))
 		}
-		unattributed = append(unattributed, 100*float64(timed.wall.Nanoseconds()-attributed)/float64(timed.wall.Nanoseconds()))
+		// The residual's magnitude: sampled spans can over-attribute
+		// (a negative residual) as well as miss work, and either way a
+		// larger share means a less faithful split.
+		wall := timed.wall.Nanoseconds()
+		residual = append(residual, 100*float64(wall-attributed)/float64(wall))
+		unattributed = append(unattributed, math.Abs(residual[len(residual)-1]))
 		L.chain = timed
 	}
 
@@ -318,6 +328,7 @@ func (L *ledger) chains(w workload, su *setupResult, a *quicsand.Analysis, windo
 	L.put("correlate.ms", median(self[lCorrelate])/1e6, "ms")
 	L.put("detect.ns_per_pkt", per(lDetect), "ns")
 	L.put("chain.unattributed_pct", median(unattributed), "%")
+	L.residualPct = median(residual)
 	L.put("trace.overhead_pct", median(overhead), "%")
 	return chainAllocs, nil
 }
@@ -385,9 +396,12 @@ func runDriverPass(w workload, cfg quicsand.Config, path string) (*driverPass, e
 	var emitAllocs uint64
 	runtime.GC()
 	epoch := time.Now()
+	// Offer spans have the clock-read latency subtracted, as the
+	// chain's spans do.
+	bias := clockBias(epoch)
 	p0 := readProbe()
 	for {
-		p, err := in.Next()
+		p, err := in.src.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -398,7 +412,7 @@ func runDriverPass(w workload, cfg quicsand.Config, path string) (*driverPass, e
 		if d.packets%sampleEvery == 0 {
 			t0 := time.Since(epoch)
 			s.Offer(p)
-			d.offerNS = append(d.offerNS, float64(time.Since(epoch)-t0))
+			d.offerNS = append(d.offerNS, float64(int64(time.Since(epoch)-t0)-bias))
 			d.offerAt = append(d.offerAt, int64(t0))
 		} else {
 			s.Offer(p)

@@ -213,14 +213,16 @@ func ledgerResult(w workload, o options, cfg quicsand.Config, su *setupResult, e
 		Metrics     map[string]metric `json:"metrics"`
 		Layers      []layerRow        `json:"layers"`
 		ChainWallNS int64             `json:"chain_wall_ns"`
-	}{prov, sampleEvery, sliceItems, L.metrics, L.layers, L.chain.wall.Nanoseconds()}
+		ResidualPct float64           `json:"chain_residual_pct"`
+	}{prov, sampleEvery, sliceItems, L.metrics, L.layers, L.chain.wall.Nanoseconds(), L.residualPct}
 	if err := writeJSON(base+".ledger.json", doc); err != nil {
 		return nil, nil, err
 	}
 	if err := writeTraceFile(base+".trace.json", w.name, L.chain, L.driver); err != nil {
 		return nil, nil, err
 	}
-	lines = append(lines, "ledger "+base+".ledger.json", "trace "+base+".trace.json")
+	lines = append(lines, "ledger "+base+".ledger.json", "trace "+base+".trace.json",
+		fmt.Sprintf("chain residual_pct %.2f (signed; negative = spans over-attribute)", L.residualPct))
 	for _, r := range L.layers {
 		lines = append(lines, fmt.Sprintf("layer %-10s self %8.1f ms  %10d calls  %8.1f ns/call",
 			r.Layer, float64(r.SelfNS)/1e6, r.Calls, r.NSPerCall))

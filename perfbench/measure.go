@@ -148,10 +148,10 @@ func runDriver(w workload, cfg quicsand.Config, path string) (*rep, error) {
 	h := startHeapSampler()
 	p0 := readProbe()
 	if !w.stream {
-		r.final, err = quicsand.Replay(cfg, in)
+		r.final, err = quicsand.Replay(cfg, in.src)
 	} else {
 		dcfg := w.detectConfig()
-		clk := &emitClock{Source: in, every: w.interval}
+		clk := &emitClock{Source: in.src, every: w.interval}
 		final, err = quicsand.StreamReplay(quicsand.StreamConfig{Config: cfg, Detect: &dcfg}, clk, w.interval,
 			func(ck *quicsand.StreamCheckpoint) {
 				// What telescoped does on each tick: drain alerts, encode
@@ -234,6 +234,8 @@ func measure(w workload, cfg quicsand.Config, in *setupResult, exp *expectations
 		if w.stream {
 			m.alerts = len(r.alerts)
 			fail(checkAlerts(exp.alerts, r.alerts))
+		} else {
+			fail(checkIngest(r.final))
 		}
 		if ref != nil {
 			fail(ref.check(r.final))

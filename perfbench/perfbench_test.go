@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"quicsand"
+	"quicsand/internal/capture"
 )
 
 // Run from this directory: go test ./...
@@ -146,6 +149,50 @@ func TestGateTrips(t *testing.T) {
 	ref.counters.SessionsEmitted++
 	if ref.check(r.final) == nil {
 		t.Fatal("batch reference accepted a result with different counters")
+	}
+}
+
+// TestBatchIngestPath holds every batch replay the benchmark makes to
+// the CLI's ingest path: QSND decoded on the shards, from the mmap
+// source and from the streamed one. A replay through a wrapped source
+// falls back to the inline decode, and the gate must refuse it.
+func TestBatchIngestPath(t *testing.T) {
+	id, err := loadIdentity(testIdentity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range workloads {
+		w := tiny(w)
+		w.stream = false
+		cfg, err := w.config(7, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		su, err := setup(w, cfg, t.TempDir(), 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := runDriver(w, cfg, su.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkIngest(r.final); err != nil {
+			t.Errorf("%s: %v", w.name, err)
+		}
+
+		in, err := w.open(su.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrapped, err := quicsand.Replay(cfg, struct{ capture.Source }{in.src})
+		in.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checkIngest(wrapped) == nil {
+			t.Errorf("%s: the ingest gate accepted a replay through a wrapped source (decode path %q)",
+				w.name, wrapped.Telemetry.Ingest.DecodePath)
+		}
 	}
 }
 

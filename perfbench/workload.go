@@ -165,16 +165,19 @@ func buildInput(cfg quicsand.Config, path string) (uint64, error) {
 	return tw.Count(), nil
 }
 
-// input is an opened benchmark input; Close releases the mapping (if
-// any) and the file.
+// input is an opened benchmark input. src is the value OpenFile or
+// NewSource returned, handed to the drivers unwrapped: Replay picks its
+// ingest path (decode-after-scatter for a SpanSource) and its reported
+// format from the source's concrete type, as it does in the CLI. Close
+// releases the mapping (if any) and the file.
 type input struct {
-	capture.Source
-	f *os.File
+	src capture.Source
+	f   *os.File
 }
 
 func (in *input) Close() error {
 	var err error
-	if c, ok := in.Source.(io.Closer); ok {
+	if c, ok := in.src.(io.Closer); ok {
 		err = c.Close()
 	}
 	if cerr := in.f.Close(); err == nil {
@@ -199,7 +202,7 @@ func (w workload) open(path string) (*input, error) {
 		f.Close()
 		return nil, fmt.Errorf("open input: %w", err)
 	}
-	return &input{Source: src, f: f}, nil
+	return &input{src: src, f: f}, nil
 }
 
 // fingerprint identifies an input: equal fingerprints mean
