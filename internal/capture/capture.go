@@ -11,9 +11,13 @@
 //     Linux-SLL and raw-IP link types, IPv4/UDP decode down to the
 //     UDP payload (plus the TCP/ICMP metadata the common-vector
 //     baseline needs);
-//   - the Source abstraction both readers implement, with format
-//     auto-detection (NewSource), and the matching Sink over both
-//     writers (NewSink);
+//   - the Source abstraction over one reader per container format —
+//     PcapReader and the QSND store's telescope.Reader — with format
+//     auto-detection (NewSource, or OpenFile, which memory-maps QSND
+//     files), and the matching Sink over both writers (NewSink). Both
+//     readers frame records on a salvage.Window: refilled from the
+//     stream, or fixed over a mapped file so spans alias the page
+//     cache;
 //   - the scatter stage (Scatter) that fans one stored stream out to
 //     per-shard engine feeds, sharded by source address with
 //     slab-batched zero-copy decode — quicsand.Replay's input path.
@@ -27,7 +31,6 @@
 package capture
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -77,13 +80,13 @@ type SpanSource interface {
 	// the source address for shard routing; io.EOF at a clean end of
 	// stream. Salvage policy applies exactly as in Next.
 	FrameNext() (int, netmodel.Addr, error)
-	// TakeSpan completes the framed record into dst (len(dst) is the
-	// length FrameNext returned) and returns the span to hand to the
-	// shard — dst itself, or a stable subslice of source-owned memory
-	// when SpanStable (dst is ignored then and may be nil). A
-	// salvage.ErrRecordLost return means the framed record was lost to
-	// a mid-payload resync (drop it, keep framing); io.EOF a torn tail.
-	TakeSpan(dst []byte) ([]byte, error)
+	// TakeSpan consumes the framed record and returns the span to hand
+	// to the shard — a copy in dst (len(dst) is the length FrameNext
+	// returned), or a stable subslice of source-owned memory when
+	// SpanStable (dst is ignored then and may be nil). FrameNext only
+	// succeeds once the whole record is buffered, so TakeSpan cannot
+	// fail.
+	TakeSpan(dst []byte) []byte
 	// SpanStable reports whether returned spans outlive the next
 	// FrameNext without copying — true for memory-backed sources,
 	// where the caller must then not recycle span memory.
@@ -148,44 +151,23 @@ func FormatForPath(path string) Format {
 	return FormatQSND
 }
 
-// sniffFormat identifies the container by its leading magic without
-// consuming it.
-func sniffFormat(br *bufio.Reader) (Format, error) {
-	magic, err := br.Peek(4)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return FormatUnknown, io.EOF
-		}
-		return FormatUnknown, err
-	}
-	switch {
-	case magic[0] == 0x44 && magic[1] == 0x4e && magic[2] == 0x53 && magic[3] == 0x51:
-		// "QSND" little endian.
-		return FormatQSND, nil
-	case isPcapMagic(magic):
-		return FormatPcap, nil
-	}
-	return FormatUnknown, ErrUnknownFormat
-}
-
 // NewSource opens a stored packet stream, auto-detecting QSND vs pcap
-// by magic. The returned Source reuses one packet and payload buffer
-// across Next calls (see the Source ownership contract).
+// by magic. The returned Source reuses one packet and the reader's
+// byte window across Next calls (see the Source ownership contract).
 func NewSource(r io.Reader) (Source, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	f, err := sniffFormat(br)
-	if err != nil {
-		if errors.Is(err, io.EOF) {
-			return nil, fmt.Errorf("capture: empty stream: %w", ErrUnknownFormat)
-		}
+	w := salvage.NewWindow(r)
+	magic, err := w.Peek(4)
+	switch {
+	case err == io.EOF || err == io.ErrUnexpectedEOF:
+		return nil, fmt.Errorf("capture: empty stream: %w", ErrUnknownFormat)
+	case err != nil:
 		return nil, err
+	case isQSNDMagic(magic):
+		return &qsndSource{r: telescope.NewWindowReader(w)}, nil
+	case isPcapMagic(magic):
+		return newPcapReader(w)
 	}
-	switch f {
-	case FormatQSND:
-		return &qsndSource{r: telescope.NewReader(br)}, nil
-	default:
-		return NewPcapReader(br)
-	}
+	return nil, ErrUnknownFormat
 }
 
 // NewSink creates an export sink writing the given format.
@@ -194,21 +176,6 @@ func NewSink(w io.Writer, f Format) Sink {
 		return NewPcapWriter(w)
 	}
 	return telescope.NewWriter(w)
-}
-
-// qsndSource adapts telescope.Reader to Source with buffer reuse: the
-// allocation-free ReadInto path recycles one Packet and its payload
-// capacity, honoring the Source validity contract.
-type qsndSource struct {
-	r *telescope.Reader
-	p telescope.Packet
-}
-
-func (s *qsndSource) Next() (*telescope.Packet, error) {
-	if err := s.r.ReadInto(&s.p); err != nil {
-		return nil, err
-	}
-	return &s.p, nil
 }
 
 // qsndDecoder is the QSND span decoder: telescope.DecodeRecord behind
@@ -221,23 +188,15 @@ func (qsndDecoder) DecodeSpan(span []byte, p *telescope.Packet) bool {
 	return true
 }
 
-// SpanSource implementation: framing delegates to the telescope
-// reader, which streams each payload directly into the shard's arena.
-func (s *qsndSource) FrameNext() (int, netmodel.Addr, error) { return s.r.FrameNext() }
-func (s *qsndSource) TakeSpan(dst []byte) ([]byte, error)    { return s.r.TakeSpan(dst) }
-func (s *qsndSource) SpanStable() bool                       { return false }
-func (s *qsndSource) SpanDecoder() SpanDecoder               { return qsndDecoder{} }
-
-// SpanSource implementation for the pcap reader: spans are framed into
-// the reader's reused buffer, so they must be copied out (not stable).
-func (pr *PcapReader) SpanStable() bool         { return false }
+// SpanSource implementation for the pcap reader.
+func (pr *PcapReader) SpanStable() bool         { return pr.w.Fixed() }
 func (pr *PcapReader) SpanDecoder() SpanDecoder { return pr.pcapDecoder }
 
 // SourceFormat reports which container a Source produced by NewSource
 // is reading.
 func SourceFormat(src Source) Format {
 	switch src.(type) {
-	case *qsndSource, *qsndBufSource:
+	case *qsndSource:
 		return FormatQSND
 	case *PcapReader:
 		return FormatPcap
@@ -268,8 +227,6 @@ func SetSalvage(src Source, pol SalvagePolicy) {
 	switch s := src.(type) {
 	case *qsndSource:
 		s.r.SetSalvage(pol)
-	case *qsndBufSource:
-		s.b.SetSalvage(pol)
 	case *PcapReader:
 		s.SetSalvage(pol)
 	}
@@ -281,8 +238,6 @@ func SourceSalvage(src Source) SalvageStats {
 	switch s := src.(type) {
 	case *qsndSource:
 		return s.r.Salvage()
-	case *qsndBufSource:
-		return s.b.Salvage()
 	case *PcapReader:
 		return s.Salvage()
 	}

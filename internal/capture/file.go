@@ -8,35 +8,37 @@ import (
 	"os"
 
 	"quicsand/internal/netmodel"
+	"quicsand/internal/salvage"
 	"quicsand/internal/telescope"
 )
 
-// qsndBufSource adapts telescope.Buffer — the QSND store over a byte
-// slice — to Source and SpanSource. Spans are stable subslices of the
-// underlying data (zero copy); close unmaps when the data is a memory
-// mapping.
-type qsndBufSource struct {
-	b     *telescope.Buffer
+// qsndSource adapts telescope.Reader to Source and SpanSource. Next
+// recycles one Packet, honoring the Source validity contract. Spans
+// are stable zero-copy subslices when the reader frames a fixed window
+// (an in-memory or mapped store) and arena copies when it streams;
+// close unmaps when the window is a memory mapping.
+type qsndSource struct {
+	r     *telescope.Reader
 	p     telescope.Packet
 	close func() error
 }
 
-func (s *qsndBufSource) Next() (*telescope.Packet, error) {
-	if err := s.b.ReadInto(&s.p); err != nil {
+func (s *qsndSource) Next() (*telescope.Packet, error) {
+	if err := s.r.ReadInto(&s.p); err != nil {
 		return nil, err
 	}
 	return &s.p, nil
 }
 
-func (s *qsndBufSource) FrameNext() (int, netmodel.Addr, error) { return s.b.FrameNext() }
-func (s *qsndBufSource) TakeSpan(_ []byte) ([]byte, error)      { return s.b.TakeSpan(), nil }
-func (s *qsndBufSource) SpanStable() bool                       { return true }
-func (s *qsndBufSource) SpanDecoder() SpanDecoder               { return qsndDecoder{} }
+func (s *qsndSource) FrameNext() (int, netmodel.Addr, error) { return s.r.FrameNext() }
+func (s *qsndSource) TakeSpan(dst []byte) []byte             { return s.r.TakeSpan(dst) }
+func (s *qsndSource) SpanStable() bool                       { return s.r.SpanStable() }
+func (s *qsndSource) SpanDecoder() SpanDecoder               { return qsndDecoder{} }
 
 // Close releases the mapping (if any). Spans and payloads handed out
 // earlier alias the mapped pages — the caller must be done with the
 // analysis before closing.
-func (s *qsndBufSource) Close() error {
+func (s *qsndSource) Close() error {
 	if s.close != nil {
 		c := s.close
 		s.close = nil
@@ -46,9 +48,9 @@ func (s *qsndBufSource) Close() error {
 }
 
 // NewQSNDBuffer opens an in-memory QSND stream as a Source. The
-// returned source frames by offset arithmetic and hands out stable
-// zero-copy spans; data must stay alive and unmodified for the
-// source's lifetime.
+// returned source frames in place and hands out stable zero-copy
+// spans; data must stay alive and unmodified for the source's
+// lifetime.
 func NewQSNDBuffer(data []byte) (Source, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("capture: empty stream: %w", ErrUnknownFormat)
@@ -56,7 +58,7 @@ func NewQSNDBuffer(data []byte) (Source, error) {
 	if len(data) < 4 || !isQSNDMagic(data) {
 		return nil, ErrUnknownFormat
 	}
-	return &qsndBufSource{b: telescope.NewBuffer(data)}, nil
+	return &qsndSource{r: telescope.NewWindowReader(salvage.NewFixedWindow(data))}, nil
 }
 
 // isQSNDMagic reports whether b starts with the QSND store magic.
@@ -89,7 +91,7 @@ func OpenFile(f *os.File) (Source, error) {
 					_ = unmap()
 					return nil, err
 				}
-				src.(*qsndBufSource).close = unmap
+				src.(*qsndSource).close = unmap
 				return src, nil
 			}
 		}

@@ -43,10 +43,7 @@ func drainSpans(t *testing.T, src Source) ([]*telescope.Packet, uint64) {
 		if !span.SpanStable() {
 			buf = make([]byte, spanLen)
 		}
-		s, err := span.TakeSpan(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := span.TakeSpan(buf)
 		if len(s) != spanLen {
 			t.Fatalf("span length %d, framed %d", len(s), spanLen)
 		}
@@ -136,7 +133,7 @@ func TestSpanPathMatchesNextQSNDBuffer(t *testing.T) {
 		t.Errorf("qsnd buffer dropped %d spans", drops)
 	}
 
-	// The buffer source must also match the streamed decoder.
+	// The fixed-window source must also match the streamed one.
 	streamSrc, err := NewSource(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
@@ -192,8 +189,8 @@ func TestSpanPathMatchesNextPcap(t *testing.T) {
 }
 
 // TestOpenFileRouting checks the container sniff: QSND files come back
-// as the zero-copy buffer source (with a working Close), pcap files as
-// the streaming reader, and junk as ErrUnknownFormat.
+// as the zero-copy fixed-window source (with a working Close), pcap
+// files as the streaming reader, and junk as ErrUnknownFormat.
 func TestOpenFileRouting(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, data []byte) *os.File {
@@ -215,8 +212,8 @@ func TestOpenFileRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := src.(*qsndBufSource); !ok {
-		t.Fatalf("qsnd OpenFile → %T, want the buffer source", src)
+	if qs, ok := src.(*qsndSource); !ok || !qs.SpanStable() {
+		t.Fatalf("qsnd OpenFile → %T, want the QSND source over a fixed window", src)
 	}
 	got := drain(t, src)
 	expectSamePackets(t, "openfile qsnd", samplePackets(), got)

@@ -154,10 +154,6 @@ func (c *Client) SawVersionNegotiation() bool { return c.sawVN }
 // Version returns the (possibly renegotiated) wire version in use.
 func (c *Client) Version() wire.Version { return c.version }
 
-// OriginalDCID returns the client's initial destination CID, which the
-// server's Initial keys are derived from.
-func (c *Client) OriginalDCID() wire.ConnectionID { return c.dcid }
-
 // SourceCID returns the client's connection ID.
 func (c *Client) SourceCID() wire.ConnectionID { return c.scid }
 

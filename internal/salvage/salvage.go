@@ -1,16 +1,16 @@
 // Package salvage is the degraded-ingest substrate: the policy,
-// accounting, and byte-level resynchronization machinery that lets the
-// capture readers (telescope.Reader, capture.PcapReader) survive
+// accounting, and the byte window every capture reader frames records
+// over (telescope.Reader, capture.PcapReader), which lets them survive
 // damaged inputs — torn tails from crashed recorders, bit-flips from
 // disk, short reads and transient EAGAIN-class errors from network
 // filesystems — instead of aborting on the first bad byte.
 //
 // The package deliberately knows nothing about record formats: readers
-// drive a Scanner for their byte I/O and hand it a format-specific
-// Boundary probe when a record fails to parse. The Scanner then scans
-// forward for the next position where a plausible record starts and is
+// frame records on a Window and hand it a format-specific Boundary
+// probe when a record fails to parse. The Window then scans forward
+// for the next position where a plausible record starts and is
 // confirmed by a plausible successor (or a clean end of stream), counts
-// the skipped span, and resumes decoding there. Every skipped byte and
+// the skipped span, and resumes framing there. Every skipped byte and
 // record flows into Stats, which the telemetry layer exposes and the
 // oracle consumes as the degraded-run error budget (DESIGN.md §14).
 package salvage
@@ -88,14 +88,6 @@ func (s *Stats) Add(o Stats) {
 	s.MaxLostRecords += o.MaxLostRecords
 }
 
-// ErrRecordLost reports that a record framed before the damage was
-// detected cannot be recovered: the resync scan found the next
-// boundary inside what the caller had already treated as record bytes.
-// Span-framing readers (telescope.Buffer, Reader.TakeSpan) return it
-// so the scatter can drop the half-framed record and keep going; the
-// skipped span is already accounted in Stats when it surfaces.
-var ErrRecordLost = errors.New("salvage: framed record lost to resync")
-
 // Transient marks an error as retryable, in the net.Error tradition:
 // EAGAIN-class failures from network filesystems and the fault
 // injector implement it. Readers never import the fault layer — the
@@ -120,187 +112,192 @@ type Boundary struct {
 	Plausible func(hdr []byte) (recLen int, ok bool)
 }
 
-// resyncChunk is the scan window granularity: how much is read ahead
-// per fill and how far the window slides before discarding scanned
-// prefix, keeping memory bounded on arbitrarily long damaged spans.
-const resyncChunk = 64 << 10
+// chunk is the streamed window's refill size and the resync scan's
+// sliding bound: a scan discards scanned prefix every chunk bytes, so
+// an arbitrarily long damaged span costs bounded memory.
+const chunk = 64 << 10
 
-// Scanner drives a reader's byte consumption with offset accounting,
-// transient-retry, and a pending buffer that resync scans push
-// unconsumed lookahead back into. Readers embed one and route every
-// read through ReadFull; with a zero Policy the added work is a nil
-// check per call.
-type Scanner struct {
-	// R is the underlying stream (typically a bufio.Reader).
-	R io.Reader
+// Window is the byte window every capture reader frames records over,
+// with offset accounting, transient retry and the one resync scan. A
+// fixed window is the whole input (an mmap or an in-memory store) and
+// never refills; a streamed window refills from an io.Reader in
+// chunk-sized reads, growing only for a record larger than a chunk.
+//
+// Readers Peek at the bytes a record needs and Advance past it only
+// once the whole record is in the window, so the cursor never moves on
+// an error: a failed call leaves the stream where it was, and a retry
+// frames the same record again from its first byte.
+type Window struct {
 	// Pol is the active salvage policy.
 	Pol Policy
 	// Stats is the skipped-record ledger.
 	Stats Stats
 
-	off     uint64
-	pending []byte
+	r    io.Reader // nil for a fixed window
+	buf  []byte    // buf[pos:] is unconsumed
+	pos  int
+	base uint64 // stream offset of buf[0]
+	eof  bool   // no byte beyond buf will arrive
 }
 
-// Offset returns the logical stream position of the next byte to be
-// consumed — after a terminal error, the start of the undecodable
-// region.
-func (s *Scanner) Offset() uint64 { return s.off }
-
-// read performs one raw read: pending lookahead first, then the
-// underlying stream with transient-retry per policy.
-func (s *Scanner) read(b []byte) (int, error) {
-	if len(s.pending) > 0 {
-		n := copy(b, s.pending)
-		s.pending = s.pending[n:]
-		return n, nil
-	}
-	retries := 0
-	for {
-		n, err := s.R.Read(b)
-		if err != nil && n == 0 && retries < s.Pol.MaxRetries && IsTransient(err) {
-			retries++
-			s.Stats.TransientRetries++
-			s.Pol.Wait(retries)
-			continue
-		}
-		return n, err
-	}
+// NewWindow returns a streamed window over r.
+func NewWindow(r io.Reader) *Window {
+	return &Window{r: r, buf: make([]byte, 0, chunk)}
 }
 
-// ReadFull fills b entirely, advancing the offset by the bytes
-// consumed. The error contract mirrors io.ReadFull: io.EOF only when
-// nothing was read, io.ErrUnexpectedEOF after a partial fill; other
-// underlying errors pass through unchanged.
-func (s *Scanner) ReadFull(b []byte) (int, error) {
-	n := 0
+// NewFixedWindow returns a window over the complete input data.
+func NewFixedWindow(data []byte) *Window {
+	return &Window{buf: data, eof: true}
+}
+
+// Fixed reports whether the window is the whole input. Its slices then
+// stay valid for the data's lifetime; a streamed window's slices are
+// valid only until the next Peek, which may refill over them.
+func (w *Window) Fixed() bool { return w.r == nil }
+
+// Offset returns the stream position of the cursor: the next byte to
+// be consumed, and after a failed frame the start of the record that
+// failed.
+func (w *Window) Offset() uint64 { return w.base + uint64(w.pos) }
+
+// Peek returns the n bytes at the cursor without consuming them. The
+// error contract mirrors io.ReadFull: nil only when all n bytes are
+// there; io.EOF when the stream ended before any, io.ErrUnexpectedEOF
+// when it ended part-way (the returned slice then holds the bytes
+// that did arrive); any other read error — a transient one that
+// outlived the policy's retries — passes through unchanged.
+func (w *Window) Peek(n int) ([]byte, error) {
+	if rest := w.buf[w.pos:]; n <= len(rest) {
+		return rest[:n], nil
+	}
+	return w.fill(n)
+}
+
+// fill is Peek's refill path: it slides the unconsumed bytes to the
+// front of the window (growing it for an oversize record) and reads
+// until n bytes are buffered or the stream ends.
+func (w *Window) fill(n int) ([]byte, error) {
 	var err error
-	for n < len(b) && err == nil {
-		var m int
-		m, err = s.read(b[n:])
-		n += m
-	}
-	s.off += uint64(n)
-	if n >= len(b) {
-		return n, nil
-	}
-	if errors.Is(err, io.EOF) && n > 0 {
-		err = io.ErrUnexpectedEOF
-	}
-	return n, err
-}
-
-// ResyncBuffer is Resync for fully in-memory streams: data holds the
-// whole capture, recStart is the byte offset where the corrupt record
-// begins, and everything from recStart to the end of data is the scan
-// window. The boundary-confirmation rule and the Stats accounting are
-// identical to Scanner.Resync — a damaged capture salvaged through a
-// memory-mapped source must report the exact same ledger as the same
-// bytes streamed through a Scanner. On success the returned offset is
-// the accepted boundary (where decoding resumes); io.EOF means the
-// buffer ended without another boundary (torn tail) and the returned
-// offset is len(data).
-func ResyncBuffer(data []byte, recStart int, b Boundary, stats *Stats) (int, error) {
-	stats.CorruptRecords++
-	stats.ResyncScans++
-	tail := data[recStart:]
-	accept := func(skipped int) {
-		stats.SalvagedBytes += uint64(skipped)
-		stats.MaxLostRecords += uint64(skipped)/uint64(b.HdrLen) + 1
-	}
-	// As in Scanner.Resync, the corrupt record's own start is never a
-	// candidate: skipping at least one byte guarantees progress.
-	for i := 1; i+b.HdrLen <= len(tail); i++ {
-		n, ok := b.Plausible(tail[i : i+b.HdrLen])
-		if !ok {
-			continue
+	if !w.eof {
+		rest := len(w.buf) - w.pos
+		buf := w.buf
+		if n > cap(buf) {
+			buf = make([]byte, 0, max(n, 2*cap(buf)))
 		}
-		end := i + n
-		confirmed := false
-		if end+b.HdrLen <= len(tail) {
-			_, confirmed = b.Plausible(tail[end : end+b.HdrLen])
-		} else {
-			confirmed = len(tail) >= end
-		}
-		if confirmed {
-			accept(i)
-			return recStart + i, nil
-		}
-	}
-	accept(len(tail))
-	return len(data), io.EOF
-}
-
-// Resync recovers from a corrupt record detected at recStart. seed
-// holds the suspect bytes already consumed from recStart on (the
-// failed record's header, plus any partial body). The scan looks for
-// the next offset where b.Plausible accepts a header AND the record it
-// frames is followed by another plausible header or the end of the
-// stream — double confirmation keeps random garbage from masquerading
-// as a boundary. On success the accepted boundary's bytes are pushed
-// into the pending buffer, the skipped span is accounted in Stats, and
-// nil is returned; io.EOF means the stream ended without another
-// boundary (torn tail — the span to EOF is accounted the same way).
-func (s *Scanner) Resync(recStart uint64, seed []byte, b Boundary) error {
-	s.Stats.CorruptRecords++
-	s.Stats.ResyncScans++
-	buf := append([]byte(nil), seed...)
-	var slid uint64 // bytes discarded as the scan window moved
-	eof := false
-	// need grows buf to n bytes; false means the stream ended first.
-	need := func(n int) bool {
-		for !eof && len(buf) < n {
-			grow := n - len(buf)
-			if grow < resyncChunk {
-				grow = resyncChunk
-			}
-			at := len(buf)
-			buf = append(buf, make([]byte, grow)...)
-			m, err := s.read(buf[at : at+grow])
-			buf = buf[:at+m]
-			if err != nil {
-				// Any terminal read error ends the scan like EOF; a
-				// damaged span is already being skipped, and whatever
-				// was readable is all there is to salvage.
-				eof = true
+		w.buf = buf[:copy(buf[:rest], w.buf[w.pos:])]
+		w.base += uint64(w.pos)
+		w.pos = 0
+		retries, empty := 0, 0
+		for len(w.buf) < n && err == nil {
+			var m int
+			m, err = w.r.Read(w.buf[len(w.buf):cap(w.buf)])
+			w.buf = w.buf[:len(w.buf)+m]
+			switch {
+			case err == io.EOF:
+				w.eof = true
+			case err != nil && retries < w.Pol.MaxRetries && IsTransient(err):
+				retries++
+				w.Stats.TransientRetries++
+				w.Pol.Wait(retries)
+				err = nil
+			case err == nil && m == 0:
+				if empty++; empty == 100 {
+					err = io.ErrNoProgress
+				}
 			}
 		}
-		return len(buf) >= n
 	}
-	accept := func(skipped uint64, rest []byte) {
-		s.Stats.SalvagedBytes += skipped
-		s.Stats.MaxLostRecords += skipped/uint64(b.HdrLen) + 1
-		s.off = recStart + skipped
-		s.pending = append(s.pending[:0], rest...)
+	got := w.buf[w.pos:]
+	switch {
+	case len(got) >= n:
+		return got[:n], nil
+	case err != nil && err != io.EOF:
+		return got, err
+	case len(got) == 0:
+		return got, io.EOF
+	}
+	return got, io.ErrUnexpectedEOF
+}
+
+// Advance consumes n bytes, which a Peek must have returned.
+func (w *Window) Advance(n int) { w.pos += n }
+
+// Take consumes the n bytes at the cursor, which a Peek must have
+// returned, and hands them out: the window's own bytes when it is
+// fixed (dst is ignored then), else a copy in dst — the next refill
+// may overwrite the window.
+func (w *Window) Take(n int, dst []byte) []byte {
+	span := w.buf[w.pos : w.pos+n : w.pos+n]
+	w.pos += n
+	if w.Fixed() {
+		return span
+	}
+	return dst[:copy(dst, span)]
+}
+
+// Recover applies the policy to a framing error at the cursor. Under
+// SkipCorrupt a corruption error (one wrapping corrupt) resyncs past
+// the damaged record: nil means frame again at the new cursor, io.EOF
+// that the stream ended inside the damage (a torn tail — everything
+// salvageable was framed). Any other error comes back unchanged:
+// fail-fast, a clean io.EOF, or a read error, which is not corruption
+// to skip over.
+func (w *Window) Recover(err, corrupt error, b Boundary) error {
+	if err == io.EOF || !w.Pol.SkipCorrupt || !errors.Is(err, corrupt) {
+		return err
+	}
+	return w.resync(b)
+}
+
+// resync recovers from a corrupt record starting at the cursor. The
+// scan looks for the next offset where b.Plausible accepts a header
+// AND the record it frames is followed by another plausible header or
+// the end of the stream — double confirmation keeps random garbage
+// from masquerading as a boundary. On success the cursor moves to the
+// accepted boundary, the skipped span is accounted in Stats, and nil
+// is returned; io.EOF means the stream ended without another boundary
+// (torn tail — the span to the end is accounted the same way). A read
+// error that outlives the retries ends the scan like the end of the
+// stream: the span is already being skipped, and whatever was readable
+// is all there is to salvage.
+func (w *Window) resync(b Boundary) error {
+	w.Stats.CorruptRecords++
+	w.Stats.ResyncScans++
+	start := w.Offset()
+	accept := func() {
+		skipped := w.Offset() - start
+		w.Stats.SalvagedBytes += skipped
+		w.Stats.MaxLostRecords += skipped/uint64(b.HdrLen) + 1
 	}
 	// The corrupt record's own start is never a candidate: skipping at
 	// least one byte guarantees progress.
 	for i := 1; ; i++ {
-		if !need(i + b.HdrLen) {
-			// Torn tail: no boundary before the end of the stream.
-			skipped := slid + uint64(len(buf))
-			accept(skipped, nil)
+		hdr, err := w.Peek(i + b.HdrLen)
+		if err != nil {
+			w.pos += len(hdr)
+			accept()
 			return io.EOF
 		}
-		if n, ok := b.Plausible(buf[i : i+b.HdrLen]); ok {
+		if n, ok := b.Plausible(hdr[i:]); ok {
 			end := i + n
+			next, err := w.Peek(end + b.HdrLen)
 			confirmed := false
-			if need(end + b.HdrLen) {
-				_, confirmed = b.Plausible(buf[end : end+b.HdrLen])
+			if err == nil {
+				_, confirmed = b.Plausible(next[end:])
 			} else {
 				// The record fits and the stream ends at (or shortly
 				// after) it; trailing junk shorter than a header will
 				// surface as its own torn-tail span.
-				confirmed = len(buf) >= end
+				confirmed = len(next) >= end
 			}
 			if confirmed {
-				accept(slid+uint64(i), buf[i:])
+				w.pos += i
+				accept()
 				return nil
 			}
 		}
-		if i >= resyncChunk {
-			slid += uint64(i)
-			buf = append(buf[:0], buf[i:]...)
+		if i >= chunk {
+			w.pos += i
 			i = 0
 		}
 	}

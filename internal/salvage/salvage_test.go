@@ -6,10 +6,11 @@ import (
 	"errors"
 	"io"
 	"testing"
+	"testing/iotest"
 	"time"
 )
 
-// fakeRec builds a toy record format for Scanner tests: an 8-byte
+// fakeRec builds a toy record format for Window tests: an 8-byte
 // header (u32 magic 0xFEEDFACE | u32 bodyLen) followed by the body.
 const fakeMagic = 0xFEEDFACE
 
@@ -75,23 +76,21 @@ func TestIsTransient(t *testing.T) {
 
 func TestReadFullRetriesTransient(t *testing.T) {
 	var slept []time.Duration
-	s := &Scanner{
-		R: &flakyReader{r: bytes.NewReader([]byte("abcdef")), fail: 3},
-		Pol: Policy{
-			MaxRetries: 5,
-			Backoff:    time.Millisecond,
-			Sleep:      func(d time.Duration) { slept = append(slept, d) },
-		},
+	w := NewWindow(&flakyReader{r: bytes.NewReader([]byte("abcdef")), fail: 3})
+	w.Pol = Policy{
+		MaxRetries: 5,
+		Backoff:    time.Millisecond,
+		Sleep:      func(d time.Duration) { slept = append(slept, d) },
 	}
-	buf := make([]byte, 6)
-	if _, err := s.ReadFull(buf); err != nil {
-		t.Fatalf("ReadFull: %v", err)
+	buf, err := w.Peek(6)
+	if err != nil {
+		t.Fatalf("Peek: %v", err)
 	}
 	if string(buf) != "abcdef" {
 		t.Fatalf("got %q", buf)
 	}
-	if s.Stats.TransientRetries != 3 {
-		t.Fatalf("TransientRetries = %d, want 3", s.Stats.TransientRetries)
+	if w.Stats.TransientRetries != 3 {
+		t.Fatalf("TransientRetries = %d, want 3", w.Stats.TransientRetries)
 	}
 	want := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond}
 	if len(slept) != len(want) {
@@ -102,84 +101,149 @@ func TestReadFullRetriesTransient(t *testing.T) {
 			t.Fatalf("backoff[%d] = %v, want %v", i, slept[i], want[i])
 		}
 	}
-	if s.Offset() != 6 {
-		t.Fatalf("offset = %d, want 6", s.Offset())
+	w.Advance(len(buf))
+	if w.Offset() != 6 {
+		t.Fatalf("offset = %d, want 6", w.Offset())
 	}
 }
 
 func TestReadFullExhaustsRetries(t *testing.T) {
-	s := &Scanner{
-		R:   &flakyReader{r: bytes.NewReader(nil), fail: 100},
-		Pol: Policy{MaxRetries: 2, Sleep: func(time.Duration) {}},
-	}
-	_, err := s.ReadFull(make([]byte, 4))
+	w := NewWindow(&flakyReader{r: bytes.NewReader(nil), fail: 100})
+	w.Pol = Policy{MaxRetries: 2, Sleep: func(time.Duration) {}}
+	_, err := w.Peek(4)
 	if !IsTransient(err) {
 		t.Fatalf("want the transient error surfaced after retries, got %v", err)
 	}
-	if s.Stats.TransientRetries != 2 {
-		t.Fatalf("TransientRetries = %d, want 2", s.Stats.TransientRetries)
+	if w.Stats.TransientRetries != 2 {
+		t.Fatalf("TransientRetries = %d, want 2", w.Stats.TransientRetries)
 	}
 }
 
 func TestReadFullNoRetryByDefault(t *testing.T) {
-	s := &Scanner{R: &flakyReader{r: bytes.NewReader([]byte("ab")), fail: 1}}
-	_, err := s.ReadFull(make([]byte, 2))
+	w := NewWindow(&flakyReader{r: bytes.NewReader([]byte("ab")), fail: 1})
+	_, err := w.Peek(2)
 	if !IsTransient(err) {
 		t.Fatalf("zero policy must fail fast on transient errors, got %v", err)
 	}
 }
 
+// TestReadFullEOFContract pins Peek's io.ReadFull-style contract on
+// both kinds of window: io.EOF only when nothing is left,
+// io.ErrUnexpectedEOF (with the bytes that did arrive) after a partial
+// fill — and in both cases the cursor stays put.
 func TestReadFullEOFContract(t *testing.T) {
-	s := &Scanner{R: bytes.NewReader(nil)}
-	if _, err := s.ReadFull(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("empty stream: got %v, want io.EOF", err)
-	}
-	s = &Scanner{R: bytes.NewReader([]byte("ab"))}
-	if _, err := s.ReadFull(make([]byte, 4)); err != io.ErrUnexpectedEOF {
-		t.Fatalf("partial fill: got %v, want io.ErrUnexpectedEOF", err)
-	}
-	if s.Offset() != 2 {
-		t.Fatalf("offset = %d, want 2", s.Offset())
+	for name, mk := range map[string]func([]byte) *Window{
+		"stream": func(b []byte) *Window { return NewWindow(bytes.NewReader(b)) },
+		"fixed":  NewFixedWindow,
+	} {
+		if _, err := mk(nil).Peek(1); err != io.EOF {
+			t.Fatalf("%s: empty stream: got %v, want io.EOF", name, err)
+		}
+		w := mk([]byte("ab"))
+		got, err := w.Peek(4)
+		if err != io.ErrUnexpectedEOF || string(got) != "ab" {
+			t.Fatalf("%s: partial fill: got %q, %v; want \"ab\", io.ErrUnexpectedEOF", name, got, err)
+		}
+		if w.Offset() != 0 {
+			t.Fatalf("%s: offset = %d after a short Peek, want 0", name, w.Offset())
+		}
 	}
 }
 
-// readRecords drains the stream through the fake format, resyncing on
-// corruption the way a real reader does.
-func readRecords(t *testing.T, s *Scanner, b Boundary) [][]byte {
+// stutterReader fails with a transient error before serving each of
+// the given chunk sizes, then serves the rest of data.
+type stutterReader struct {
+	data   []byte
+	chunks []int
+	failed bool
+}
+
+func (s *stutterReader) Read(b []byte) (int, error) {
+	if !s.failed && len(s.chunks) > 0 {
+		s.failed = true
+		return 0, transientErr{}
+	}
+	s.failed = false
+	n := len(s.data)
+	if len(s.chunks) > 0 {
+		n, s.chunks = s.chunks[0], s.chunks[1:]
+	}
+	n = copy(b, s.data[:min(n, len(s.data))])
+	s.data = s.data[n:]
+	if n == 0 {
+		return 0, io.EOF
+	}
+	return n, nil
+}
+
+// TestPeekFailureKeepsCursor pins the guarantee callers retry on: a
+// read that fails part-way through a Peek consumes nothing, and the
+// retried Peek returns the same bytes from the same offset.
+func TestPeekFailureKeepsCursor(t *testing.T) {
+	w := NewWindow(&stutterReader{data: []byte("0123456789"), chunks: []int{3, 4}})
+	var got []byte
+	fails := 0
+	for {
+		b, err := w.Peek(8)
+		if err == nil {
+			got = b
+			break
+		}
+		if !IsTransient(err) {
+			t.Fatalf("Peek: %v", err)
+		}
+		if w.Offset() != 0 {
+			t.Fatalf("failed Peek moved the cursor to %d", w.Offset())
+		}
+		fails++
+	}
+	if string(got) != "01234567" || fails != 2 {
+		t.Fatalf("got %q after %d failures, want \"01234567\" after 2", got, fails)
+	}
+}
+
+// errCorrupt marks a fake record that fails to frame.
+var errCorrupt = errors.New("corrupt fake record")
+
+// frameFake frames one fake record at the cursor the way the real
+// readers do: the whole record must be in the window before it frames,
+// and a torn header or body is corruption.
+func frameFake(w *Window, b Boundary) ([]byte, error) {
+	hdr, err := w.Peek(b.HdrLen)
+	if err == io.ErrUnexpectedEOF {
+		return nil, errCorrupt
+	}
+	if err != nil {
+		return nil, err
+	}
+	n, ok := b.Plausible(hdr)
+	if !ok {
+		return nil, errCorrupt
+	}
+	rec, err := w.Peek(n)
+	if err == io.ErrUnexpectedEOF {
+		return nil, errCorrupt
+	}
+	return rec, err
+}
+
+// readRecords drains the window through the fake format, resyncing on
+// corruption per the window's policy.
+func readRecords(t *testing.T, w *Window, b Boundary) [][]byte {
 	t.Helper()
 	var out [][]byte
 	for {
-		start := s.Offset()
-		hdr := make([]byte, 8)
-		if _, err := s.ReadFull(hdr); err != nil {
-			if err == io.EOF {
-				return out
-			}
-			// Partial header: torn tail.
-			if err == io.ErrUnexpectedEOF {
-				if rerr := s.Resync(start, nil, b); rerr == io.EOF {
-					return out
-				}
-				continue
-			}
-			t.Fatalf("header read: %v", err)
-		}
-		n, ok := b.Plausible(hdr)
-		if !ok {
-			if rerr := s.Resync(start, hdr, b); rerr == io.EOF {
-				return out
-			}
+		rec, err := frameFake(w, b)
+		if err == nil {
+			out = append(out, append([]byte(nil), rec[b.HdrLen:]...))
+			w.Advance(len(rec))
 			continue
 		}
-		body := make([]byte, n-8)
-		if m, err := s.ReadFull(body); err != nil {
-			seed := append(append([]byte(nil), hdr...), body[:m]...)
-			if rerr := s.Resync(start, seed, b); rerr == io.EOF {
-				return out
-			}
-			continue
+		if err = w.Recover(err, errCorrupt, b); err == io.EOF {
+			return out
+		} else if err != nil {
+			t.Fatalf("read: %v", err)
 		}
-		out = append(out, body)
 	}
 }
 
@@ -194,8 +258,9 @@ func TestResyncSkipsGarbageSplice(t *testing.T) {
 	r0 := len(fakeRec(recs[0]))
 	damaged := append(append(append([]byte(nil), clean.Bytes()[:r0]...), garbage...), clean.Bytes()[r0:]...)
 
-	s := &Scanner{R: bytes.NewReader(damaged), Pol: Policy{SkipCorrupt: true}}
-	got := readRecords(t, s, fakeBoundary())
+	w := NewWindow(bytes.NewReader(damaged))
+	w.Pol = Policy{SkipCorrupt: true}
+	got := readRecords(t, w, fakeBoundary())
 	if len(got) != 3 {
 		t.Fatalf("salvaged %d records, want 3", len(got))
 	}
@@ -204,7 +269,7 @@ func TestResyncSkipsGarbageSplice(t *testing.T) {
 			t.Fatalf("record %d = %q, want %q", i, got[i], r)
 		}
 	}
-	st := s.Stats
+	st := w.Stats
 	if st.CorruptRecords != 1 || st.ResyncScans != 1 {
 		t.Fatalf("counters = %+v, want 1 corrupt / 1 resync", st)
 	}
@@ -215,8 +280,8 @@ func TestResyncSkipsGarbageSplice(t *testing.T) {
 	if st.MaxLostRecords != wantLost {
 		t.Fatalf("MaxLostRecords = %d, want %d", st.MaxLostRecords, wantLost)
 	}
-	if s.Offset() != uint64(len(damaged)) {
-		t.Fatalf("final offset = %d, want %d", s.Offset(), len(damaged))
+	if w.Offset() != uint64(len(damaged)) {
+		t.Fatalf("final offset = %d, want %d", w.Offset(), len(damaged))
 	}
 }
 
@@ -224,34 +289,40 @@ func TestResyncTornTail(t *testing.T) {
 	full := append(fakeRec([]byte("one")), fakeRec([]byte("two"))...)
 	// Tear mid-way through record two's body.
 	torn := full[:len(full)-2]
-	s := &Scanner{R: bytes.NewReader(torn), Pol: Policy{SkipCorrupt: true}}
-	got := readRecords(t, s, fakeBoundary())
+	w := NewWindow(bytes.NewReader(torn))
+	w.Pol = Policy{SkipCorrupt: true}
+	got := readRecords(t, w, fakeBoundary())
 	if len(got) != 1 || string(got[0]) != "one" {
 		t.Fatalf("salvaged %v, want [one]", got)
 	}
-	if s.Stats.CorruptRecords != 1 || s.Stats.MaxLostRecords == 0 {
-		t.Fatalf("counters = %+v", s.Stats)
+	if w.Stats.CorruptRecords != 1 || w.Stats.MaxLostRecords == 0 {
+		t.Fatalf("counters = %+v", w.Stats)
 	}
-	if s.Offset() != uint64(len(torn)) {
-		t.Fatalf("offset = %d, want %d (end of stream)", s.Offset(), len(torn))
+	if w.Offset() != uint64(len(torn)) {
+		t.Fatalf("offset = %d, want %d (end of stream)", w.Offset(), len(torn))
 	}
 }
 
 func TestResyncLongSpanSlidesWindow(t *testing.T) {
-	// A damaged span several windows long must still converge and
-	// account every skipped byte exactly once.
-	span := bytes.Repeat([]byte{0x13, 0x37}, (3*resyncChunk)/2) // 3 windows of junk
+	// A damaged span several windows long must still converge, account
+	// every skipped byte exactly once, and keep the streamed window
+	// bounded by the sliding scan rather than the span's length.
+	span := bytes.Repeat([]byte{0x13, 0x37}, (3*chunk)/2) // 3 windows of junk
 	data := append(append(fakeRec([]byte("pre")), span...), fakeRec([]byte("post"))...)
-	s := &Scanner{R: bytes.NewReader(data), Pol: Policy{SkipCorrupt: true}}
-	got := readRecords(t, s, fakeBoundary())
+	w := NewWindow(bytes.NewReader(data))
+	w.Pol = Policy{SkipCorrupt: true}
+	got := readRecords(t, w, fakeBoundary())
 	if len(got) != 2 || string(got[0]) != "pre" || string(got[1]) != "post" {
 		t.Fatalf("salvaged %d records: %q", len(got), got)
 	}
-	if s.Stats.SalvagedBytes != uint64(len(span)) {
-		t.Fatalf("SalvagedBytes = %d, want %d", s.Stats.SalvagedBytes, len(span))
+	if w.Stats.SalvagedBytes != uint64(len(span)) {
+		t.Fatalf("SalvagedBytes = %d, want %d", w.Stats.SalvagedBytes, len(span))
 	}
-	if s.Offset() != uint64(len(data)) {
-		t.Fatalf("offset = %d, want %d", s.Offset(), len(data))
+	if w.Offset() != uint64(len(data)) {
+		t.Fatalf("offset = %d, want %d", w.Offset(), len(data))
+	}
+	if cap(w.buf) > 2*chunk {
+		t.Fatalf("window grew to %d bytes over a %d-byte span", cap(w.buf), len(span))
 	}
 }
 
@@ -264,8 +335,9 @@ func TestResyncRejectsFalseBoundary(t *testing.T) {
 	binary.LittleEndian.PutUint32(fake[4:8], 5) // claims 5-byte body
 	junk := append(append(bytes.Repeat([]byte{0xEE}, 11), fake...), bytes.Repeat([]byte{0xEE}, 9)...)
 	data := append(append(fakeRec([]byte("first")), junk...), fakeRec([]byte("second"))...)
-	s := &Scanner{R: bytes.NewReader(data), Pol: Policy{SkipCorrupt: true}}
-	got := readRecords(t, s, fakeBoundary())
+	w := NewWindow(bytes.NewReader(data))
+	w.Pol = Policy{SkipCorrupt: true}
+	got := readRecords(t, w, fakeBoundary())
 	if len(got) != 2 || string(got[0]) != "first" || string(got[1]) != "second" {
 		t.Fatalf("salvaged %q, want [first second]", got)
 	}
@@ -290,42 +362,11 @@ func TestPolicyEnabled(t *testing.T) {
 	}
 }
 
-// readRecordsBuf is readRecords' in-memory twin: it walks data through
-// the fake format with ResyncBuffer standing in for Scanner.Resync —
-// the framing loop a buffer-backed (mmap) reader runs.
-func readRecordsBuf(data []byte, b Boundary, stats *Stats) [][]byte {
-	var out [][]byte
-	off := 0
-	for off < len(data) {
-		start := off
-		if len(data)-off < b.HdrLen {
-			// Torn tail inside a header.
-			n, err := ResyncBuffer(data, start, b, stats)
-			if err == io.EOF {
-				return out
-			}
-			off = n
-			continue
-		}
-		n, ok := b.Plausible(data[off : off+b.HdrLen])
-		if !ok || off+n > len(data) {
-			n, err := ResyncBuffer(data, start, b, stats)
-			if err == io.EOF {
-				return out
-			}
-			off = n
-			continue
-		}
-		out = append(out, data[off+b.HdrLen:off+n])
-		off += n
-	}
-	return out
-}
-
 // TestResyncBufferMatchesScanner is the differential between the two
-// resync implementations: for every damage shape, the in-memory scan
-// must recover the same records and account the same ledger as the
-// streamed Scanner.
+// kinds of window: for every damage shape, a fixed window over the
+// whole input must recover the same records and account the same
+// ledger as a streamed window — read in full chunks or one byte per
+// Read, which exercises every refill and growth path.
 func TestResyncBufferMatchesScanner(t *testing.T) {
 	recs := [][]byte{[]byte("alpha"), []byte("beta"), []byte("gamma-longer"), []byte("delta4")}
 	var clean bytes.Buffer
@@ -345,7 +386,7 @@ func TestResyncBufferMatchesScanner(t *testing.T) {
 	junk := append(append(bytes.Repeat([]byte{0xEE}, 11), fake...), bytes.Repeat([]byte{0xEE}, 9)...)
 	falseBoundary := append(append(fakeRec([]byte("first")), junk...), fakeRec([]byte("second"))...)
 
-	longSpan := bytes.Repeat([]byte{0x13, 0x37}, (3*resyncChunk)/2)
+	longSpan := bytes.Repeat([]byte{0x13, 0x37}, (3*chunk)/2)
 
 	cases := map[string][]byte{
 		"clean":          clean.Bytes(),
@@ -357,65 +398,33 @@ func TestResyncBufferMatchesScanner(t *testing.T) {
 		"long-span":      append(append(fakeRec([]byte("pre")), longSpan...), fakeRec([]byte("post"))...),
 		"garbage-tail":   append(append([]byte(nil), clean.Bytes()...), bytes.Repeat([]byte{0xEE}, 23)...),
 	}
-	// A faithful streamed drain: unlike readRecords above, it seeds
-	// Resync with the partial header bytes on a torn tail — the way
-	// the real record readers do — so the byte accounting lines up
-	// with the buffer scan, which always sees the whole tail.
-	scanRecords := func(t *testing.T, s *Scanner, b Boundary) [][]byte {
-		t.Helper()
-		var out [][]byte
-		for {
-			start := s.Offset()
-			hdr := make([]byte, b.HdrLen)
-			m, err := s.ReadFull(hdr)
-			if err == io.EOF {
-				return out
-			}
-			if err == io.ErrUnexpectedEOF {
-				if rerr := s.Resync(start, hdr[:m], b); rerr == io.EOF {
-					return out
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatalf("header read: %v", err)
-			}
-			n, ok := b.Plausible(hdr)
-			if !ok {
-				if rerr := s.Resync(start, hdr, b); rerr == io.EOF {
-					return out
-				}
-				continue
-			}
-			body := make([]byte, n-b.HdrLen)
-			if m, err := s.ReadFull(body); err != nil {
-				seed := append(append([]byte(nil), hdr...), body[:m]...)
-				if rerr := s.Resync(start, seed, b); rerr == io.EOF {
-					return out
-				}
-				continue
-			}
-			out = append(out, body)
-		}
+	streams := map[string]func([]byte) io.Reader{
+		"stream":   func(b []byte) io.Reader { return bytes.NewReader(b) },
+		"one-byte": func(b []byte) io.Reader { return iotest.OneByteReader(bytes.NewReader(b)) },
 	}
 	for name, data := range cases {
 		t.Run(name, func(t *testing.T) {
-			s := &Scanner{R: bytes.NewReader(data), Pol: Policy{SkipCorrupt: true}}
-			want := scanRecords(t, s, fakeBoundary())
-
-			var stats Stats
-			got := readRecordsBuf(data, fakeBoundary(), &stats)
-
-			if len(want) != len(got) {
-				t.Fatalf("scanner recovered %d records, buffer %d", len(want), len(got))
-			}
-			for i := range want {
-				if !bytes.Equal(want[i], got[i]) {
-					t.Errorf("record %d: scanner %q, buffer %q", i, want[i], got[i])
+			fixed := NewFixedWindow(data)
+			fixed.Pol = Policy{SkipCorrupt: true}
+			want := readRecords(t, fixed, fakeBoundary())
+			for sname, mk := range streams {
+				w := NewWindow(mk(data))
+				w.Pol = Policy{SkipCorrupt: true}
+				got := readRecords(t, w, fakeBoundary())
+				if len(want) != len(got) {
+					t.Fatalf("%s: fixed window recovered %d records, streamed %d", sname, len(want), len(got))
 				}
-			}
-			if s.Stats != stats {
-				t.Errorf("ledgers differ:\n scanner %+v\n buffer  %+v", s.Stats, stats)
+				for i := range want {
+					if !bytes.Equal(want[i], got[i]) {
+						t.Errorf("%s: record %d: fixed %q, streamed %q", sname, i, want[i], got[i])
+					}
+				}
+				if w.Stats != fixed.Stats {
+					t.Errorf("%s: ledgers differ:\n fixed    %+v\n streamed %+v", sname, fixed.Stats, w.Stats)
+				}
+				if w.Offset() != fixed.Offset() {
+					t.Errorf("%s: final offsets differ: fixed %d, streamed %d", sname, fixed.Offset(), w.Offset())
+				}
 			}
 		})
 	}

@@ -1,8 +1,8 @@
 package telescope
 
-// Differential tests for the in-memory Buffer decoder: Buffer is the
-// offset-arithmetic twin of the streamed Reader (the mmap ingest
-// path), and must reproduce it exactly — same packets, same terminal
+// Differential tests for the two windows one Reader frames on: a
+// fixed window over the whole store (the mmap ingest path) must
+// reproduce the streamed window exactly — same packets, same terminal
 // error text, same salvage ledger — on clean and damaged stores alike.
 
 import (
@@ -14,9 +14,14 @@ import (
 	"quicsand/internal/salvage"
 )
 
-// drainBufferSalvage mirrors drainSalvage through the Buffer decoder.
+// bufferReader frames data in place, as capture.OpenFile does.
+func bufferReader(data []byte) *Reader {
+	return NewWindowReader(salvage.NewFixedWindow(data))
+}
+
+// drainBufferSalvage mirrors drainSalvage over a fixed window.
 func drainBufferSalvage(data []byte, pol salvage.Policy) ([]*Packet, error, salvage.Stats) {
-	b := NewBuffer(data)
+	b := bufferReader(data)
 	b.SetSalvage(pol)
 	var out []*Packet
 	for {
@@ -33,7 +38,7 @@ func drainBufferSalvage(data []byte, pol salvage.Policy) ([]*Packet, error, salv
 	}
 }
 
-// TestBufferMatchesReader runs both decoders over the same stores —
+// TestBufferMatchesReader runs both windows over the same stores —
 // clean, and damaged in every way the fault injector knows — under
 // fail-fast and salvage policies, and demands identical packets,
 // identical terminal error text, and an identical salvage ledger.
@@ -89,18 +94,21 @@ func TestBufferMatchesReader(t *testing.T) {
 	}
 }
 
-// TestBufferSpanFraming pins the zero-copy contract: TakeSpan returns
-// a subslice of the input covering exactly the framed record, and
-// DecodeRecord over that span reproduces ReadInto.
+// TestBufferSpanFraming pins the zero-copy contract: on a fixed window
+// TakeSpan returns a subslice of the input covering exactly the framed
+// record, and DecodeRecord over that span reproduces ReadInto.
 func TestBufferSpanFraming(t *testing.T) {
 	data, pkts, offs := salvageTrace(t, 10)
-	b := NewBuffer(data)
+	b := bufferReader(data)
+	if !b.SpanStable() {
+		t.Fatal("a fixed window's spans must be stable")
+	}
 	for i := range pkts {
 		spanLen, src, err := b.FrameNext()
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		span := b.TakeSpan()
+		span := b.TakeSpan(nil)
 		if len(span) != spanLen {
 			t.Fatalf("record %d: span %d bytes, framed %d", i, len(span), spanLen)
 		}

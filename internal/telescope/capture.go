@@ -36,9 +36,6 @@ func New(sinks ...Sink) *Telescope {
 	return &Telescope{Prefix: netmodel.TelescopePrefix, sinks: sinks}
 }
 
-// Attach adds a sink.
-func (t *Telescope) Attach(s Sink) { t.sinks = append(t.sinks, s) }
-
 // Capture ingests one packet if it falls inside the telescope.
 // Packets outside the prefix are silently dropped, mirroring the fact
 // that a darknet never sees them.

@@ -84,7 +84,6 @@ type Header struct {
 	SupportedVersions []Version
 
 	// raw bookkeeping (set by ParseLongHeader).
-	firstByte byte
 	headerLen int // bytes up to and including the Length field
 	packetLen int // total bytes of this QUIC packet within the datagram
 }
@@ -96,9 +95,6 @@ var (
 	ErrShortHeader   = errors.New("wire: short header packet")
 	ErrUnknownCIDLen = errors.New("wire: unknown connection ID length")
 )
-
-// FirstByte returns the unprotected first byte as seen on the wire.
-func (h *Header) FirstByte() byte { return h.firstByte }
 
 // HeaderLen returns the number of bytes from the start of the packet up
 // to and including the Length field (i.e. the offset of the packet
@@ -148,7 +144,6 @@ func ParseLongHeaderInto(h *Header, data []byte) error {
 	if data[0]&0x80 == 0 {
 		return ErrShortHeader
 	}
-	h.firstByte = data[0]
 	h.Version = Version(uint32(data[1])<<24 | uint32(data[2])<<16 | uint32(data[3])<<8 | uint32(data[4]))
 
 	pos := 5
@@ -258,7 +253,6 @@ func ParseShortHeader(data []byte, cidLen int) (*Header, error) {
 	}
 	return &Header{
 		Type:      PacketTypeOneRTT,
-		firstByte: data[0],
 		DstConnID: ConnectionID(data[1 : 1+cidLen]),
 		headerLen: 1 + cidLen,
 		packetLen: len(data),

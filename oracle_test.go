@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"quicsand/internal/capture"
+	"quicsand/internal/netmodel"
 	"quicsand/internal/oracle"
 	"quicsand/internal/scenario"
 	"quicsand/internal/telescope"
@@ -151,10 +152,18 @@ func TestOracleDetectsDivergence(t *testing.T) {
 		{"distinct-sources", func(o *oracle.Observed) { o.DistinctQUICSources-- }},
 		{"mixed", func(o *oracle.Observed) { o.MixedSessions = 1 }},
 		{"responder-volume", func(o *oracle.Observed) {
-			for _, r := range o.Responders {
-				r.Packets++
-				break
+			// A misconfigured responder's volume is a bounded interval
+			// that +1 may stay inside, so bump the lowest-addressed
+			// responder whose volume the oracle pins exactly.
+			var pick *oracle.ResponderObs
+			var at netmodel.Addr
+			for a, r := range o.Responders {
+				if v := exp.Victims[a]; v != nil && !v.Sanitized &&
+					v.PacketRange.Min == v.PacketRange.Max && (pick == nil || a < at) {
+					pick, at = r, a
+				}
 			}
+			pick.Packets++
 		}},
 		{"retry-from-clean-victim", func(o *oracle.Observed) {
 			for a, r := range o.Responders {

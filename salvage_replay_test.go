@@ -182,9 +182,9 @@ func TestReplaySalvagedDegradedOracle(t *testing.T) {
 	}{
 		{"qsnd", capture.FormatQSND, qsnd, openStream},
 		{"pcap", capture.FormatPcap, pcap, openStream},
-		// The same damaged checkpoint through the mmap path: the
-		// in-buffer resync must account identically to the streamed
-		// Scanner's.
+		// The same damaged checkpoint through the mmap path: resync
+		// over the fixed window must account identically to the
+		// streamed one.
 		{"qsnd-mmap", capture.FormatQSND, qsnd, openMmap},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -331,10 +331,10 @@ func TestReplayTruncatedTail(t *testing.T) {
 }
 
 // TestSalvageLedgerMmapMatchesStream is the differential for the two
-// resync implementations: the in-buffer resync (mmap path) and the
-// streamed Scanner must account a damaged capture with the exact same
-// salvage ledger and produce the same record count, at every worker
-// count.
+// kinds of reader window: resync over the fixed window (mmap path) and
+// over the streamed one must account a damaged capture with the exact
+// same salvage ledger and produce the same record count, at every
+// worker count.
 func TestSalvageLedgerMmapMatchesStream(t *testing.T) {
 	cfg, _, qsnd, _ := salvageFixture(t)
 	bad, _ := damageMidRecord(qsnd, capture.FormatQSND)
