@@ -14,6 +14,7 @@ import (
 	"quicsand/internal/engine"
 	"quicsand/internal/netmodel"
 	"quicsand/internal/telemetry"
+	"quicsand/internal/telescope"
 )
 
 // serveDaemon is the -window serve loop: the socket reader maps every
@@ -30,6 +31,10 @@ import (
 func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 	if opts.traceOut != "" {
 		return fmt.Errorf("-trace-out is not supported with -window (the streaming pipeline has no stage timeline)")
+	}
+	uc, ok := pc.(*net.UDPConn)
+	if !ok {
+		return fmt.Errorf("daemon mode needs a UDP socket, got %T", pc)
 	}
 	dcfg := detect.Default()
 	if opts.detectConfig != "" {
@@ -140,22 +145,23 @@ func serveDaemon(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 	}
 
 	// Read loop on this goroutine: map each datagram onto the telescope
-	// model and offer it. The streamer copies the packet before any
-	// cross-shard dispatch, so the payload copy here is the only one the
-	// trace sink and single-worker path need.
+	// model in one reused packet and offer it. Offer only borrows the
+	// packet (the trace sink serializes it during the call, shard
+	// dispatch copies it into a slab), so the loop neither copies the
+	// datagram nor allocates per read.
 	buf := make([]byte, 65535)
+	var p telescope.Packet
 	var skipped uint64
 	for {
-		sz, addr, err := pc.ReadFrom(buf)
+		sz, addr, err := uc.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			break // socket closed: the signal handler's graceful drain
 		}
-		p := recordPacket(addr, netmodel.TelescopePrefix.Base, 443, append([]byte(nil), buf[:sz]...))
-		if p == nil {
+		if !fillPacket(&p, addr, netmodel.TelescopePrefix.Base, 443, buf[:sz]) {
 			skipped++ // non-IPv4 remote: unrepresentable in the model
 			continue
 		}
-		s.Offer(p)
+		s.Offer(&p)
 	}
 	close(stopTick)
 	twg.Wait()

@@ -40,10 +40,12 @@
 package main
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"os"
 	"os/signal"
 	"strings"
@@ -246,6 +248,7 @@ func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 	// keeps the read loop free of per-packet hasher allocations.
 	go func() {
 		buf := make([]byte, 65535)
+		var p telescope.Packet
 		for {
 			sz, addr, err := pc.ReadFrom(buf)
 			if err != nil {
@@ -256,8 +259,8 @@ func serve(opts serveOpts, pc net.PacketConn, out, diag io.Writer) error {
 			}
 			d := datagram{addr: addr.String(), data: append([]byte(nil), buf[:sz]...)}
 			if rec != nil {
-				if p := recordPacket(addr, dstAddr, dstPort, d.data); p != nil {
-					rec.Capture(p)
+				if ua, ok := addr.(*net.UDPAddr); ok && fillPacket(&p, ua.AddrPort(), dstAddr, dstPort, d.data) {
+					rec.Capture(&p)
 				} else {
 					recSkipped++
 				}
@@ -401,28 +404,27 @@ func localIPv4(a net.Addr) (netmodel.Addr, uint16) {
 		uint16(ua.Port)
 }
 
-// recordPacket shapes one received datagram into the telescope store's
-// packet model. Non-IPv4 remotes have no representation in the 32-bit
-// address space and return nil (counted as record drops).
-func recordPacket(remote net.Addr, dst netmodel.Addr, dstPort uint16, data []byte) *telescope.Packet {
-	ua, ok := remote.(*net.UDPAddr)
-	if !ok {
-		return nil
+// fillPacket shapes one received datagram into the telescope store's
+// packet model, in place; p.Payload aliases data. Non-IPv4 remotes
+// have no representation in the 32-bit address space and report false
+// (counted as record drops).
+func fillPacket(p *telescope.Packet, remote netip.AddrPort, dst netmodel.Addr, dstPort uint16, data []byte) bool {
+	ip := remote.Addr().Unmap()
+	if !ip.Is4() {
+		return false
 	}
-	ip4 := ua.IP.To4()
-	if ip4 == nil {
-		return nil
-	}
-	return &telescope.Packet{
+	ip4 := ip.As4()
+	*p = telescope.Packet{
 		TS:      telescope.TS(time.Now()),
-		Src:     netmodel.Addr(uint32(ip4[0])<<24 | uint32(ip4[1])<<16 | uint32(ip4[2])<<8 | uint32(ip4[3])),
+		Src:     netmodel.Addr(binary.BigEndian.Uint32(ip4[:])),
 		Dst:     dst,
-		SrcPort: uint16(ua.Port),
+		SrcPort: remote.Port(),
 		DstPort: dstPort,
 		Proto:   telescope.ProtoUDP,
 		Size:    uint16(len(data)),
 		Payload: data,
 	}
+	return true
 }
 
 // describe classifies one datagram into printable lines; quic reports

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/netip"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -424,5 +425,36 @@ func TestServeTraceOut(t *testing.T) {
 		t.Fatal(err)
 	} else if !strings.Contains(string(m), `"trace_file": "`+tracePath+`"`) {
 		t.Errorf("manifest missing trace_file:\n%s", m)
+	}
+}
+
+// TestFillPacket pins the datagram → packet mapping both serve loops
+// share: IPv4 remotes (plain or IPv4-mapped, as a dual-stack socket
+// reports them) map in place with the payload aliased, not copied;
+// IPv6 remotes are unrepresentable and report false.
+func TestFillPacket(t *testing.T) {
+	data := []byte("datagram")
+	for _, tc := range []struct {
+		remote string
+		ok     bool
+	}{
+		{"192.0.2.7:4433", true},
+		{"[::ffff:192.0.2.7]:4433", true},
+		{"[2001:db8::7]:4433", false},
+	} {
+		var p telescope.Packet
+		if got := fillPacket(&p, netip.MustParseAddrPort(tc.remote), 0x01000000, 443, data); got != tc.ok {
+			t.Fatalf("%s: fillPacket = %v, want %v", tc.remote, got, tc.ok)
+		}
+		if !tc.ok {
+			continue
+		}
+		if p.Src != 0xc0000207 || p.SrcPort != 4433 || p.Dst != 0x01000000 || p.DstPort != 443 ||
+			p.Proto != telescope.ProtoUDP || int(p.Size) != len(data) {
+			t.Errorf("%s: mapped to %+v", tc.remote, p)
+		}
+		if &p.Payload[0] != &data[0] {
+			t.Errorf("%s: payload copied, want it to alias the read buffer", tc.remote)
+		}
 	}
 }

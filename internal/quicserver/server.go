@@ -74,9 +74,10 @@ type Server struct {
 
 	Metrics Metrics
 
-	workers []*worker
-	wg      sync.WaitGroup
-	closed  atomic.Bool
+	workers  []*worker
+	wg       sync.WaitGroup // the workers
+	readDone chan struct{}  // closed when readLoop returns
+	closed   atomic.Bool
 }
 
 type inbound struct {
@@ -123,7 +124,7 @@ func New(conn net.PacketConn, cfg Config) (*Server, error) {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	s := &Server{cfg: cfg, conn: conn}
+	s := &Server{cfg: cfg, conn: conn, readDone: make(chan struct{})}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{
 			srv:   s,
@@ -134,7 +135,6 @@ func New(conn net.PacketConn, cfg Config) (*Server, error) {
 		s.wg.Add(1)
 		go w.run()
 	}
-	s.wg.Add(1)
 	go s.readLoop()
 	return s, nil
 }
@@ -145,6 +145,9 @@ func (s *Server) Close() error {
 		return nil
 	}
 	err := s.conn.Close()
+	// The read loop sends on the worker queues: close them only once
+	// the closed socket has made it return.
+	<-s.readDone
 	for _, w := range s.workers {
 		close(w.queue)
 	}
@@ -156,7 +159,7 @@ func (s *Server) Close() error {
 func (s *Server) Addr() net.Addr { return s.conn.LocalAddr() }
 
 func (s *Server) readLoop() {
-	defer s.wg.Done()
+	defer close(s.readDone)
 	buf := make([]byte, 65535)
 	for {
 		n, addr, err := s.conn.ReadFrom(buf)

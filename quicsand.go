@@ -335,8 +335,10 @@ func (sh *pipelineShard) process(p *telescope.Packet) bool {
 		if !p.IsQUICCandidate() {
 			return true
 		}
+		// An empty payload is no payload, as a recorded capture
+		// decodes it, whichever driver or container delivered it.
 		var res *dissect.Result
-		if p.Payload != nil {
+		if len(p.Payload) > 0 {
 			r, err := sh.dissectPkt(p.Payload)
 			if err != nil {
 				sh.nonQUIC++

@@ -41,9 +41,13 @@ trap 'rm -f "$raw"' EXIT
 # multi-core host `go test` would append -N and every comparison in
 # bench_diff.sh would silently become "new ... not gated"). The second
 # pass records the replay ingest benchmarks at GOMAXPROCS=8 — the
-# multi-core numbers land as distinct -8 entries.
+# multi-core numbers land as distinct -8 entries. The third records the
+# streaming pipeline at GOMAXPROCS=2, where Workers: 0 resolves to two
+# shards and Offer takes the slab dispatch path the daemon runs (at
+# -cpu 1 it processes inline); it lands as a distinct -2 entry.
 go test -run '^$' -bench "$bench_re" -benchmem -benchtime "$benchtime" -cpu 1 ./... | tee "$raw" >&2
 go test -run '^$' -bench 'Replay' -benchmem -benchtime "$benchtime" -cpu 8 . | tee -a "$raw" >&2
+go test -run '^$' -bench '^BenchmarkStreamingPipeline$' -benchmem -benchtime "$benchtime" -cpu 2 . | tee -a "$raw" >&2
 
 awk '
 BEGIN { print "[" ; first = 1 }

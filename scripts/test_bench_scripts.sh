@@ -83,6 +83,36 @@ check "alloc regression beyond tolerance fails the gate" not gate 100 13
 check "time regression beyond tolerance fails the gate" not gate 130 10
 check "regression within tolerance passes the gate" gate 110 11
 
+# --- bench_diff.sh gating of -cpu suffixed entries ------------------
+
+# The multi-core passes record entries such as
+# BenchmarkStreamingPipeline-2 next to the suffix-free -cpu 1 entry.
+# Once a baseline holds the suffixed entry it must be gated on its own,
+# not shadowed by (or mistaken for) the -cpu 1 one.
+record_pair() { # record_pair FILE ALLOCS_CPU1 ALLOCS_CPU2
+    printf '[\n  {"bench": "BenchmarkStreamingPipeline", "ns_per_op": 100, "allocs_per_op": %s},\n  {"bench": "BenchmarkStreamingPipeline-2", "ns_per_op": 100, "allocs_per_op": %s}\n]\n' \
+        "$2" "$3" > "$tmp/$1"
+}
+
+gate_pair() { # gate_pair ALLOCS_CPU1 ALLOCS_CPU2 → exit status of bench_diff
+    record_pair fresh.json "$1" "$2"
+    (cd "$tmp" && ./scripts/bench_diff.sh fresh.json >/dev/null 2>&1)
+}
+
+rm -f "$tmp"/BENCH_*.json
+record_pair BENCH_PR9.json 10 1000
+check "suffixed entry unchanged passes the gate" gate_pair 10 1000
+check "suffixed entry alloc regression fails the gate" not gate_pair 10 1300
+check "suffix-free entry alloc regression still fails the gate" not gate_pair 13 1000
+
+# Before any baseline holds the suffixed entry it is reported, not gated.
+record BENCH_PR9.json 100 10
+printf '[\n  {"bench": "BenchmarkReplay", "ns_per_op": 100, "allocs_per_op": 10},\n  {"bench": "BenchmarkStreamingPipeline-2", "ns_per_op": 100, "allocs_per_op": 1000}\n]\n' > "$tmp/fresh.json"
+new_out="$(cd "$tmp" && ./scripts/bench_diff.sh fresh.json 2>/dev/null || true)"
+check "suffixed entry without a baseline is reported as new" \
+    sh -c 'printf "%s\n" "$1" | grep -q "^new  *BenchmarkStreamingPipeline-2/allocs_per_op"' _ "$new_out"
+rm -f "$tmp"/BENCH_*.json "$tmp/fresh.json"
+
 # --- bench_snapshot.sh default output name --------------------------
 
 # The default must be highest-checked-in + 1 (it was once hardcoded to
@@ -92,7 +122,11 @@ check "regression within tolerance passes the gate" gate 110 11
 mkdir -p "$tmp/bin"
 cat > "$tmp/bin/go" <<'EOF'
 #!/usr/bin/env sh
-echo "BenchmarkStub 	       1	       100 ns/op	       0 B/op	       0 allocs/op"
+# The -cpu 2 pass names its entry the way go test does on that pass.
+case " $* " in
+*" -cpu 2 "*) echo "BenchmarkStreamingPipeline-2 	       1	       100 ns/op	       0 B/op	       0 allocs/op" ;;
+*) echo "BenchmarkStub 	       1	       100 ns/op	       0 B/op	       0 allocs/op" ;;
+esac
 EOF
 chmod +x "$tmp/bin/go"
 
@@ -108,6 +142,8 @@ record BENCH_PR10.json 100 10
 check "snapshot default is PR11 after PR10" \
     [ "$(snapshot_default)" = "BENCH_PR11.json" ]
 check "snapshot default landed on disk" [ -s "$tmp/BENCH_PR11.json" ]
+check "snapshot records the -cpu 2 streaming entry" \
+    grep -q '"bench": "BenchmarkStreamingPipeline-2"' "$tmp/BENCH_PR11.json"
 
 rm "$tmp"/BENCH_*.json
 check "snapshot default starts at PR1 in an empty repo" \

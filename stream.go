@@ -47,6 +47,8 @@ type StreamConfig struct {
 //
 // Offer and Checkpoint are safe to call from different goroutines
 // (the daemon's checkpoint ticker); each is serialized by one mutex.
+// StreamLive and StreamReplay own their Streamer privately and drive
+// the unlocked offer/checkpointLocked pair instead.
 type Streamer struct {
 	cfg     StreamConfig
 	workers int
@@ -63,15 +65,49 @@ type Streamer struct {
 	position uint64   // captured packets offered so far
 	counts   []uint64 // captured packets per shard
 
-	// workers>1 plumbing: per-shard op channels + parked-worker barrier.
-	chans   []chan shardOp
-	pending [][]*telescope.Packet
-	wg      sync.WaitGroup
+	// workers>1 plumbing: per-shard op channels, the slab each shard is
+	// filling, and the slabs its worker has handed back.
+	chans    []chan shardOp
+	building []*streamSlab
+	free     []chan *streamSlab
+	wg       sync.WaitGroup
 }
 
 type shardOp struct {
-	batch []*telescope.Packet
-	bar   *streamBarrier
+	slab *streamSlab
+	bar  *streamBarrier
+}
+
+// streamSlab is one shard's dispatch unit at workers>1: packet values
+// copied out of the driver's borrowed packets, and the arena their
+// payload bytes were copied into. Slabs cycle between Offer, which
+// fills one per shard, and the shard worker, which processes it and
+// hands it back, so the steady state allocates nothing (DESIGN.md §9).
+type streamSlab struct {
+	pkts  []telescope.Packet
+	arena []byte
+}
+
+// add copies p, and any payload it carries, into the slab. An empty
+// payload is stored as nil, the form a recorded capture decodes to.
+func (b *streamSlab) add(p *telescope.Packet) {
+	b.pkts = append(b.pkts, *p)
+	q := &b.pkts[len(b.pkts)-1]
+	q.Payload = nil
+	n := len(p.Payload)
+	if n == 0 {
+		return
+	}
+	if len(b.arena)+n > cap(b.arena) {
+		// Never regrow in place: earlier packets alias the old arena,
+		// which stays alive under them until they are overwritten. The
+		// doubled arena is what the slab keeps, so arenas settle at the
+		// stream's real payload mix per slab.
+		b.arena = make([]byte, 0, max(2*cap(b.arena), n, 1<<10))
+	}
+	off := len(b.arena)
+	b.arena = append(b.arena, p.Payload...)
+	q.Payload = b.arena[off:len(b.arena):len(b.arena)]
 }
 
 type streamBarrier struct {
@@ -79,8 +115,16 @@ type streamBarrier struct {
 	release chan struct{}
 }
 
-// streamBatch is the dispatch granularity for workers>1.
+// streamBatch is the dispatch granularity for workers>1: packets per
+// slab.
 const streamBatch = 256
+
+// streamPool is the number of slabs per shard. Offer blocks once all
+// of a shard's slabs are in flight, so a slow shard holds the driver
+// back instead of growing the heap. A deeper pool buys no throughput
+// but holds more packets in memory and lengthens the drain every
+// checkpoint barrier waits for.
+const streamPool = 4
 
 // NewStreamer builds the incremental pipeline. The substrate
 // (Internet, census, scheduled ground truth) is prepared exactly as
@@ -136,11 +180,18 @@ func (s *Streamer) startWorkers() {
 		return
 	}
 	s.chans = make([]chan shardOp, s.workers)
-	s.pending = make([][]*telescope.Packet, s.workers)
+	s.building = make([]*streamSlab, s.workers)
+	s.free = make([]chan *streamSlab, s.workers)
 	for i := range s.chans {
-		s.chans[i] = make(chan shardOp, 64)
+		// Both channels hold every slab of the shard, so neither the
+		// dispatch nor the worker's hand-back waits on buffer space.
+		ch := make(chan shardOp, streamPool)
+		free := make(chan *streamSlab, streamPool)
+		for range streamPool {
+			free <- &streamSlab{pkts: make([]telescope.Packet, 0, streamBatch)}
+		}
+		s.chans[i], s.free[i] = ch, free
 		sh := s.shards[i]
-		ch := s.chans[i]
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
@@ -150,11 +201,20 @@ func (s *Streamer) startWorkers() {
 					<-op.bar.release
 					continue
 				}
-				for _, p := range op.batch {
-					sh.process(p)
+				for j := range op.slab.pkts {
+					sh.process(&op.slab.pkts[j])
 				}
+				free <- op.slab
 			}
 		}()
+	}
+}
+
+// flush dispatches shard k's partly filled slab, if any.
+func (s *Streamer) flush(k int) {
+	if b := s.building[k]; b != nil {
+		s.chans[k] <- shardOp{slab: b}
+		s.building[k] = nil
 	}
 }
 
@@ -175,14 +235,21 @@ func (s *Streamer) Position() uint64 {
 // Offer ingests one packet and reports whether the telescope captured
 // it. Packets must arrive in non-decreasing time order (the capture
 // and generator sources both guarantee this). The packet is only
-// borrowed: with workers>1 it is copied before dispatch, so callers
-// may recycle it as soon as Offer returns. Captured packets are also
-// written to cfg.Trace (in offer order — the canonical stream order)
-// before dispatch, so a recording daemon's trace replays to the same
-// state.
+// borrowed: with workers>1 it is copied into a shard slab before
+// dispatch, so callers may recycle the struct and its payload bytes as
+// soon as Offer returns. An empty payload counts as no payload at
+// every worker count. Captured packets are also written to cfg.Trace
+// (in offer order — the canonical stream order) before dispatch, so a
+// recording daemon's trace replays to the same state.
 func (s *Streamer) Offer(p *telescope.Packet) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.offer(p)
+}
+
+// offer is Offer without the lock: the caller holds s.mu or owns the
+// Streamer outright.
+func (s *Streamer) offer(p *telescope.Packet) bool {
 	if s.closed {
 		return false
 	}
@@ -203,21 +270,23 @@ func (s *Streamer) Offer(p *telescope.Packet) bool {
 		s.shards[0].process(p)
 		return true
 	}
-	q := *p
-	if p.Payload != nil {
-		q.Payload = append([]byte(nil), p.Payload...)
+	b := s.building[k]
+	if b == nil {
+		// Blocks while every slab of shard k is in flight.
+		b = <-s.free[k]
+		b.pkts, b.arena = b.pkts[:0], b.arena[:0]
+		s.building[k] = b
 	}
-	s.pending[k] = append(s.pending[k], &q)
-	if len(s.pending[k]) >= streamBatch {
-		s.chans[k] <- shardOp{batch: s.pending[k]}
-		s.pending[k] = nil
+	b.add(p)
+	if len(b.pkts) == streamBatch {
+		s.flush(k)
 	}
 	return true
 }
 
-// barrier parks every shard worker (having first flushed pending
-// batches), runs fn over the quiescent shards, then releases them.
-// Caller holds s.mu.
+// barrier parks every shard worker (having first flushed the slabs
+// being filled), runs fn over the quiescent shards, then releases
+// them. Caller holds s.mu or owns the Streamer outright.
 func (s *Streamer) barrier(fn func()) {
 	if s.workers == 1 || s.closed {
 		fn()
@@ -225,11 +294,8 @@ func (s *Streamer) barrier(fn func()) {
 	}
 	bar := &streamBarrier{release: make(chan struct{})}
 	bar.arrived.Add(s.workers)
-	for i, ch := range s.chans {
-		if len(s.pending[i]) > 0 {
-			ch <- shardOp{batch: s.pending[i]}
-			s.pending[i] = nil
-		}
+	for k, ch := range s.chans {
+		s.flush(k)
 		ch <- shardOp{bar: bar}
 	}
 	bar.arrived.Wait()
@@ -270,6 +336,8 @@ func (s *Streamer) Checkpoint() *StreamCheckpoint {
 	return s.checkpointLocked(false)
 }
 
+// checkpointLocked is Checkpoint without the lock: the caller holds
+// s.mu or owns the Streamer outright.
 func (s *Streamer) checkpointLocked(final bool) *StreamCheckpoint {
 	c := &StreamCheckpoint{
 		cfg:      s.cfg,
@@ -307,11 +375,8 @@ func (s *Streamer) Close() *StreamCheckpoint {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.closed && s.workers > 1 {
-		for i, ch := range s.chans {
-			if len(s.pending[i]) > 0 {
-				ch <- shardOp{batch: s.pending[i]}
-				s.pending[i] = nil
-			}
+		for k, ch := range s.chans {
+			s.flush(k)
 			close(ch)
 		}
 		s.wg.Wait()
@@ -355,15 +420,16 @@ func StreamLive(cfg StreamConfig, interval uint64, onCheckpoint func(*StreamChec
 	}
 	// One sequential merger yields the canonical time-ordered stream
 	// whatever the analysis worker count; slab recycling is legal
-	// because Offer consumes (or copies) the packet before returning.
+	// because offer consumes (or copies) the packet before returning.
+	// The streamer is private to this call, so it runs unlocked.
 	mergers := s.Generator().Feeds(1, true)
 	var captured, next uint64
 	next = interval
 	mergers[0].Run(func(p *telescope.Packet) {
-		if s.Offer(p) {
+		if s.offer(p) {
 			captured++
 			if interval > 0 && onCheckpoint != nil && captured >= next {
-				onCheckpoint(s.Checkpoint())
+				onCheckpoint(s.checkpointLocked(false))
 				next += interval
 			}
 		}
@@ -373,7 +439,8 @@ func StreamLive(cfg StreamConfig, interval uint64, onCheckpoint func(*StreamChec
 
 // StreamReplay drives a stored capture through the streamer — the
 // streaming twin of Replay, used by `quicsand replay -alerts`.
-// interval and onCheckpoint as in StreamLive.
+// interval and onCheckpoint as in StreamLive; like StreamLive, it owns
+// its streamer and runs unlocked.
 func StreamReplay(cfg StreamConfig, src capture.Source, interval uint64, onCheckpoint func(*StreamCheckpoint)) (*StreamCheckpoint, error) {
 	s, err := NewStreamer(cfg)
 	if err != nil {
@@ -390,10 +457,10 @@ func StreamReplay(cfg StreamConfig, src capture.Source, interval uint64, onCheck
 			s.Close()
 			return nil, fmt.Errorf("quicsand: stream replay: %w", err)
 		}
-		if s.Offer(p) {
+		if s.offer(p) {
 			captured++
 			if interval > 0 && onCheckpoint != nil && captured >= next {
-				onCheckpoint(s.Checkpoint())
+				onCheckpoint(s.checkpointLocked(false))
 				next += interval
 			}
 		}
